@@ -178,7 +178,9 @@ pub fn run_sharded<I: Iterator<Item = Access>>(
     cfg: &AnalyzeConfig,
 ) -> (Report, u64, ShardPlan) {
     let plan = ShardPlan::build(counts, cfg.shards, link_gap(&cfg.det));
-    let n = cfg.shards.max(1);
+    // LPT fills shards 0..clusters first, so with fewer clusters than
+    // shards the rest would stay idle: don't build their detectors.
+    let n = cfg.shards.min(plan.clusters).max(1);
     let geom = cfg.det.geometry;
     let batch = cfg.batch.max(1);
     let rts: Vec<Predator> = (0..n).map(|_| Predator::new(cfg.det, base, size)).collect();
@@ -425,6 +427,21 @@ mod tests {
         let plan = ShardPlan::build(&counts, 8, 2);
         assert_eq!(plan.clusters, 1);
         assert_eq!(plan.shards_used, 1);
+    }
+
+    /// `run_sharded` builds only `min(shards, clusters)` detectors, so the
+    /// plan must never route a line past them.
+    #[test]
+    fn fewer_clusters_than_shards_fill_the_low_shards() {
+        let mut counts = BTreeMap::new();
+        for (i, line) in [10u64, 100, 1000].into_iter().enumerate() {
+            counts.insert(line, 1 + i as u64);
+        }
+        let plan = ShardPlan::build(&counts, 8, 2);
+        assert_eq!(plan.clusters, 3);
+        for line in counts.keys() {
+            assert!(plan.shard_of(*line) < plan.clusters, "line {line}");
+        }
     }
 
     #[test]

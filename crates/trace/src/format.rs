@@ -283,7 +283,10 @@ pub fn decode_index(payload: &[u8]) -> Option<Vec<IndexEntry>> {
     if n > (1 << 32) {
         return None;
     }
-    let mut entries = Vec::with_capacity(n as usize);
+    // Every entry takes at least 3 bytes (two varints and the kind byte),
+    // so the payload bounds the count: an untrusted count alone never
+    // sizes an allocation.
+    let mut entries = Vec::with_capacity((n as usize).min(payload.len() / 3));
     let mut prev = 0u64;
     for _ in 0..n {
         let delta = varint::read_u64(payload, &mut pos)?;
@@ -526,6 +529,16 @@ mod tests {
         assert_eq!(decode_index(&encode_index(&entries)), Some(entries));
         assert_eq!(decode_index(&[0]), Some(vec![]));
         assert_eq!(decode_index(&[]), None);
+    }
+
+    #[test]
+    fn index_count_larger_than_payload_is_rejected_without_allocating() {
+        // Count 2^32 in a 5-byte payload: must decode to `None`, not size
+        // a 64 GiB vector from the claimed count.
+        let mut payload = Vec::new();
+        varint::write_u64(&mut payload, 1 << 32);
+        assert_eq!(payload.len(), 5);
+        assert_eq!(decode_index(&payload), None);
     }
 
     #[test]

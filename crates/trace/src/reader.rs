@@ -748,6 +748,48 @@ mod tests {
         assert!(!stats.truncated);
     }
 
+    #[test]
+    fn hostile_index_count_degrades_to_a_scan() {
+        // Replace the footer index with a 5-byte payload claiming 2^32
+        // entries. Neither the sequential reader nor `trace info` may size
+        // an allocation from that count: the reader skips the index, and
+        // `read_info` rejects it and falls back to the full scan.
+        let (bytes, events) = sample_trace(2, 30);
+        let trailer = bytes.len() - TRAILER_LEN;
+        let index_offset = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap());
+        let mut hostile = bytes[..index_offset as usize].to_vec();
+        let mut payload = Vec::new();
+        crate::varint::write_u64(&mut payload, 1 << 32);
+        assert_eq!(payload.len(), 5);
+        let frame = ChunkFrame {
+            kind: CHUNK_INDEX,
+            flags: 0,
+            record_count: u32::MAX,
+            payload_len: payload.len() as u32,
+            crc: crc32(&payload),
+        };
+        hostile.extend_from_slice(&frame.encode());
+        hostile.extend_from_slice(&payload);
+        hostile.extend_from_slice(&bytes[trailer..]);
+
+        let mut r = TraceReader::new(&hostile[..]).unwrap();
+        let got: Vec<Access> = (&mut r).collect();
+        assert_eq!(got, events);
+        assert_eq!(r.stats(), LossStats::default());
+
+        let path = std::env::temp_dir().join(format!(
+            "predator-hostile-index-{}.ptrace",
+            std::process::id()
+        ));
+        std::fs::write(&path, &hostile).unwrap();
+        let info = read_info(&path);
+        std::fs::remove_file(&path).unwrap();
+        let info = info.expect("a bad index must not fail the summary");
+        assert!(!info.via_index, "the hostile index must be rejected");
+        assert_eq!(info.events, events.len() as u64);
+        assert_eq!(info.meta.map(|m| m.app_live_bytes), Some(42));
+    }
+
     /// Byte offset of the n-th (0-based) chunk frame.
     fn find_nth_chunk(bytes: &[u8], n: usize) -> usize {
         let mut off = HEADER_V1_LEN;

@@ -87,6 +87,21 @@ echo "whatif gate correctly rejected the useless fix"
 # analyze --verify-fixes annotates the same findings inline.
 $PRED analyze "$SMOKE/run.ptrace" --sensitive --verify-fixes > "$SMOKE/verify.txt"
 grep -q "Verified fix" "$SMOKE/verify.txt"
+# Cluster-scoped replay: the histogram trace is one cluster, but a kmeans
+# recording has several and replays only those holding findings. Replaying
+# the whole trace would feed the detector and MESI at least 8x its events
+# (four geometries each); the scoped replay must stay within 6x.
+$PRED record kmeans --iters 500 -o "$SMOKE/kmeans.ptrace"
+$PRED whatif "$SMOKE/kmeans.ptrace" --sensitive --metrics "$SMOKE/whatif-metrics.json" \
+  > "$SMOKE/whatif-kmeans.txt"
+grep -q "Verified fix" "$SMOKE/whatif-kmeans.txt"
+events=$($PRED trace info "$SMOKE/kmeans.ptrace" | awk '$1 == "events:" {print $2}')
+replayed=$(awk '$1 == "whatif_replayed_events_total" {print $2}' "$SMOKE/whatif-metrics.json.prom")
+echo "whatif replayed $replayed events for a $events-event trace"
+if [ -z "$events" ] || [ -z "$replayed" ] || [ "$replayed" -gt $((6 * events)) ]; then
+  echo "whatif replay is not cluster-scoped (replayed ${replayed:-?} > 6 x ${events:-?})" >&2
+  exit 1
+fi
 
 echo "==> fleet smoke (corpus ingest -> merged report -> trend gate, both exit paths)"
 # Two recordings of one workload form the baseline corpus; adding a second
