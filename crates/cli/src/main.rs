@@ -52,9 +52,6 @@ USAGE:
         --iters <N>         per-thread work items       [default: 20000]
         --seed <N>          input seed                  [default: 42]
         --sampling <RATE>   sampling rate in (0,1]      [default: 0.01]
-        --tracking-mode <M> per-line state discipline: precise (mutex,
-                            deterministic reports) or relaxed (lock-free
-                            seqlock-style hot path)     [default: precise]
         --sensitive         tiny thresholds (small runs / demos)
         --json              machine-readable report
 
@@ -308,13 +305,42 @@ struct Args {
     options: std::collections::HashMap<String, String>,
 }
 
-fn parse_args(raw: &[String]) -> Result<Args, String> {
+/// A command line that cannot be parsed.
+#[derive(Debug, PartialEq, Eq)]
+enum ArgError {
+    /// A `--name` that is neither a known flag nor a known option.
+    UnknownOption(String),
+    /// An option that takes a value appeared last, without one.
+    MissingValue(String),
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::UnknownOption(a) => write!(f, "unknown option {a}"),
+            ArgError::MissingValue(a) => write!(f, "{a} needs a value"),
+        }
+    }
+}
+
+fn parse_args(raw: &[String]) -> Result<Args, ArgError> {
+    const FLAGS: &[&str] = &[
+        "--deep",
+        "--fail-on-regression",
+        "--fixed",
+        "--fixes",
+        "--json",
+        "--markdown",
+        "--no-prediction",
+        "--no-recorder",
+        "--sensitive",
+        "--verify-fixes",
+    ];
     const VALUED: &[&str] = &[
         "--threads",
         "--iters",
         "--seed",
         "--sampling",
-        "--tracking-mode",
         "--base",
         "--size",
         "--stride",
@@ -357,14 +383,16 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
     let mut it = raw.iter();
     while let Some(a) = it.next() {
         if VALUED.contains(&a.as_str()) {
-            let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+            let v = it.next().ok_or_else(|| ArgError::MissingValue(a.clone()))?;
             args.options.insert(a.clone(), v.clone());
         } else if a == "-o" {
             // `record`'s short output flag, aliased onto --out.
-            let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+            let v = it.next().ok_or_else(|| ArgError::MissingValue(a.clone()))?;
             args.options.insert("--out".to_string(), v.clone());
-        } else if a.starts_with("--") {
+        } else if FLAGS.contains(&a.as_str()) {
             args.flags.push(a.clone());
+        } else if a.starts_with("--") {
+            return Err(ArgError::UnknownOption(a.clone()));
         } else {
             args.positional.push(a.clone());
         }
@@ -393,9 +421,6 @@ fn detector_config(args: &Args) -> Result<DetectorConfig, String> {
     let rate: f64 = num(args, "--sampling", det.sampling_rate())?;
     if !(0.0..=1.0).contains(&rate) || rate == 0.0 {
         return Err(format!("--sampling must be in (0, 1], got {rate}"));
-    }
-    if let Some(mode) = args.options.get("--tracking-mode") {
-        det.tracking_mode = mode.parse()?;
     }
     Ok(det.with_sampling_rate(rate))
 }
@@ -2293,21 +2318,19 @@ mod tests {
     }
 
     #[test]
-    fn tracking_mode_flag_selects_mode() {
-        use predator_core::TrackingMode;
-        let a = args(&["run", "x"]);
+    fn unknown_options_are_rejected() {
+        let parse = |raw: &[&str]| {
+            parse_args(&raw.iter().map(|s| s.to_string()).collect::<Vec<_>>()).map(|_| ())
+        };
         assert_eq!(
-            detector_config(&a).unwrap().tracking_mode,
-            TrackingMode::Precise
+            parse(&["run", "x", "--tracking-mode", "relaxed"]),
+            Err(ArgError::UnknownOption("--tracking-mode".into()))
         );
-        let a = args(&["run", "x", "--tracking-mode", "relaxed"]);
         assert_eq!(
-            detector_config(&a).unwrap().tracking_mode,
-            TrackingMode::Relaxed
+            parse(&["run", "histogram", "--sensitve", "extra_positional"]),
+            Err(ArgError::UnknownOption("--sensitve".into()))
         );
-        let a = args(&["run", "x", "--tracking-mode", "eventual"]);
-        let err = detector_config(&a).unwrap_err();
-        assert!(err.contains("tracking mode"), "unexpected error: {err}");
+        assert!(parse(&["run", "x", "--sensitive", "--json"]).is_ok());
     }
 
     #[test]

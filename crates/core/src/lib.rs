@@ -51,12 +51,13 @@
 //!   handlers and polled by long-running loops;
 //! * [`registry`], [`stats`] — thread ids and run statistics.
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod api;
 pub mod config;
 pub mod detect;
 pub mod fixes;
-pub mod lockfree;
 pub mod predict;
 pub mod registry;
 pub mod report;
@@ -69,7 +70,7 @@ pub use adaptive::{
     BackoffAction, BackoffConfig, BackoffController, Decision, SelfCostModel, TickOutcome, Watchdog,
 };
 pub use api::Session;
-pub use config::{DetectorConfig, TrackingMode};
+pub use config::DetectorConfig;
 pub use detect::SharingClass;
 pub use fixes::{lower_fix, suggest_fixes, FixSuggestion, LayoutEdit};
 pub use predict::{HotPair, PredictionUnit, UnitKind, UnitSnapshot};

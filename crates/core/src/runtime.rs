@@ -328,11 +328,7 @@ impl Predator {
         self.writes.bump_to(idx, self.cfg.tracking_threshold);
         let newly = self.tracks.get(idx).is_none();
         let track = self.tracks.get_or_publish(idx, || {
-            CacheTrack::new(
-                self.layout.line_start(idx),
-                self.cfg.geometry,
-                self.cfg.tracking_mode,
-            )
+            CacheTrack::new(self.layout.line_start(idx), self.cfg.geometry)
         });
         if newly {
             predator_obs::static_counter!("runtime_lines_promoted_total").inc();
@@ -384,9 +380,8 @@ impl Predator {
             let snap_n = nt.snapshot();
             for pair in find_hot_pairs(&snap_l.words, &snap_n.words, avg) {
                 for (key, vg) in candidate_units(&pair, geom, self.cfg.max_scale_log2) {
-                    let (unit, created) = units.get_or_create(key, || {
-                        PredictionUnit::new(key, vg, pair, self.cfg.tracking_mode)
-                    });
+                    let (unit, created) =
+                        units.get_or_create(key, || PredictionUnit::new(key, vg, pair));
                     if created {
                         predator_obs::static_counter!("predict_units_spawned_total").inc();
                         let sink = predator_obs::events();

@@ -9,31 +9,20 @@
 //! and every relevant virtual history table.
 //!
 //! Concurrency: the sampling decision is a lone `Relaxed` `fetch_add` on an
-//! atomic access counter — the fast path for skipped accesses takes no lock
-//! in either mode. Recorded accesses then go one of two ways, selected by
-//! [`TrackingMode`]:
-//!
-//! * **Precise** — serialize on a per-line `std::sync::Mutex`, today's exact
-//!   semantics and the differential oracle. The lock order is always
-//!   *track → unit*; units never lock tracks.
-//! * **Relaxed** — the paper-faithful lock-free path in [`crate::lockfree`]:
-//!   packed-atomic history table (invalidation counts stay exact via a CAS
-//!   loop over the pure §2.3.1 transition), batched `Relaxed` word/line
-//!   counters, an `Acquire` fence only on the threshold-promotion edge.
-//!
-//! The attached prediction units live outside both cores in a lock-free
-//! append-only list, traversed on every sampled access.
+//! atomic access counter, so the fast path for skipped accesses takes no
+//! lock. A recorded access then serializes on the per-line `Mutex`, which
+//! guards the history table, the counters and the attached prediction units
+//! alike, so counts and analysis timing are exact under any interleaving.
+//! The lock order is always *track → unit*; units never lock tracks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
-use predator_sim::{packed, AccessKind, CacheGeometry, HistoryTable, ThreadId, WordTracker};
+use predator_sim::{AccessKind, CacheGeometry, HistoryTable, ThreadId, WordTracker};
 
-use crate::config::{DetectorConfig, TrackingMode};
-use crate::lockfree::{RelaxedLine, UnitList};
+use crate::config::DetectorConfig;
 use crate::predict::PredictionUnit;
 
 /// Result of offering one access to a [`CacheTrack`].
@@ -76,9 +65,25 @@ struct TrackState {
     /// while the flight recorder is enabled, to attribute a victim's side of
     /// an invalidation. Linear: a line is touched by a handful of threads.
     last_words: Vec<(ThreadId, u8)>,
+    /// Prediction units whose virtual line overlaps this physical line,
+    /// walked on every sampled access. Attachment is rare (once per unit
+    /// per overlapped line) and deduplicated by unit key.
+    units: Vec<Arc<PredictionUnit>>,
 }
 
 impl TrackState {
+    fn new(line_start: u64, geom: CacheGeometry) -> Self {
+        TrackState {
+            history: HistoryTable::new(),
+            words: WordTracker::new(line_start, geom),
+            invalidations: 0,
+            reads: 0,
+            writes: 0,
+            last_words: Vec::new(),
+            units: Vec::new(),
+        }
+    }
+
     fn last_word(&self, tid: ThreadId) -> u8 {
         self.last_words
             .iter()
@@ -96,44 +101,28 @@ impl TrackState {
     }
 }
 
-/// Mode-selected per-line shadow state.
-#[derive(Debug)]
-enum TrackCore {
-    /// Mutex-serialized exact state.
-    Precise(Mutex<TrackState>),
-    /// Lock-free packed-atomic state.
-    Relaxed(RelaxedLine),
-}
-
 /// Detailed tracking state for one cache line.
 #[derive(Debug)]
 pub struct CacheTrack {
     line_start: u64,
     offered: AtomicU64,
-    units: UnitList,
-    core: TrackCore,
+    state: Mutex<TrackState>,
 }
 
 impl CacheTrack {
     /// Creates tracking state for the line starting at `line_start`.
-    pub fn new(line_start: u64, geom: CacheGeometry, mode: TrackingMode) -> Self {
-        let core = match mode {
-            TrackingMode::Precise => TrackCore::Precise(Mutex::new(TrackState {
-                history: HistoryTable::new(),
-                words: WordTracker::new(line_start, geom),
-                invalidations: 0,
-                reads: 0,
-                writes: 0,
-                last_words: Vec::new(),
-            })),
-            TrackingMode::Relaxed => TrackCore::Relaxed(RelaxedLine::new(geom.words_per_line())),
-        };
+    pub fn new(line_start: u64, geom: CacheGeometry) -> Self {
         CacheTrack {
             line_start,
             offered: AtomicU64::new(0),
-            units: UnitList::new(),
-            core,
+            state: Mutex::new(TrackState::new(line_start, geom)),
         }
+    }
+
+    fn state(&self) -> MutexGuard<'_, TrackState> {
+        self.state
+            .lock()
+            .expect("a thread panicked while recording into this line")
     }
 
     /// First byte address of the tracked line.
@@ -160,7 +149,7 @@ impl CacheTrack {
         // Flight-recorder and timeline feed: the victims of an invalidating
         // write are the remote entries sitting in the history table *before*
         // the write lands (≤ 2, distinct threads — §2.3.1), so capture them
-        // up front in both modes.
+        // up front.
         let flight = predator_obs::recorder::recorder().is_enabled();
         let tl = predator_obs::timeline();
         let want_victims = flight || tl.enabled();
@@ -169,68 +158,37 @@ impl CacheTrack {
         let mut victims: [(u16, u8); 2] = [(0, 0); 2];
         let mut victim_count = 0usize;
         let invalidated;
-        let analysis_due;
-        match &self.core {
-            TrackCore::Precise(state) => {
-                let mut st = state.lock().unwrap();
-                if want_victims && kind == AccessKind::Write {
-                    for e in st.history.entries() {
-                        if e.tid != tid {
-                            victims[victim_count] = (e.tid.index() as u16, st.last_word(e.tid));
-                            victim_count += 1;
-                        }
+        let mut analysis_due = false;
+        {
+            let mut st = self.state();
+            if want_victims && kind == AccessKind::Write {
+                for e in st.history.entries() {
+                    if e.tid != tid {
+                        victims[victim_count] = (e.tid.index() as u16, st.last_word(e.tid));
+                        victim_count += 1;
                     }
                 }
-                invalidated = st.history.record(tid, kind);
-                st.invalidations += invalidated as u64;
-                if flight {
-                    st.note_word(tid, word);
-                }
-                st.words.record(tid, addr, size, kind);
-                let mut due = false;
-                match kind {
-                    AccessKind::Read => st.reads += 1,
-                    AccessKind::Write => {
-                        st.writes += 1;
-                        due = cfg.prediction && st.writes.is_multiple_of(cfg.prediction_threshold);
-                    }
-                }
-                analysis_due = due;
-                // Feed units while still holding the line lock, preserving
-                // the precise mode's full per-access serialization.
-                self.units.for_each(|unit| {
-                    if unit.range.contains(addr) {
-                        unit.record(tid, kind);
-                    }
-                });
             }
-            TrackCore::Relaxed(line) => {
-                // In-line word span, mirroring `WordTracker::record`'s
-                // clamping of straddling accesses.
-                let end = addr + size.max(1) as u64 - 1;
-                let line_end = self.line_start + cfg.geometry.line_size() - 1;
-                let lo_word = ((addr.max(self.line_start) - self.line_start) / 8) as usize;
-                let hi_word = ((end.min(line_end) - self.line_start) / 8) as usize;
-                let threshold = cfg.prediction.then_some(cfg.prediction_threshold);
-                let out = line.record(tid, lo_word, hi_word, kind, threshold);
-                invalidated = out.invalidated;
-                analysis_due = out.analysis_due;
-                if want_victims && kind == AccessKind::Write {
-                    for e in packed::unpack(out.prev_history).entries() {
-                        if e.tid != tid {
-                            victims[victim_count] = (e.tid.index() as u16, line.last_word(e.tid));
-                            victim_count += 1;
-                        }
-                    }
+            invalidated = st.history.record(tid, kind);
+            st.invalidations += invalidated as u64;
+            if flight {
+                st.note_word(tid, word);
+            }
+            st.words.record(tid, addr, size, kind);
+            match kind {
+                AccessKind::Read => st.reads += 1,
+                AccessKind::Write => {
+                    st.writes += 1;
+                    analysis_due =
+                        cfg.prediction && st.writes.is_multiple_of(cfg.prediction_threshold);
                 }
-                if flight {
-                    line.note_word(tid, word);
+            }
+            // Feed units while still holding the line lock, so every
+            // recorded access is fully serialized per line.
+            for unit in &st.units {
+                if unit.range.contains(addr) {
+                    unit.record(tid, kind);
                 }
-                self.units.for_each(|unit| {
-                    if unit.range.contains(addr) {
-                        unit.record(tid, kind);
-                    }
-                });
             }
         }
         predator_obs::static_counter!("track_sampled_accesses_total").inc();
@@ -294,51 +252,35 @@ impl CacheTrack {
     }
 
     /// Attaches a prediction unit whose virtual line overlaps this physical
-    /// line; deduplicated by unit identity.
+    /// line; deduplicated by unit key.
     pub fn attach_unit(&self, unit: Arc<PredictionUnit>) {
-        self.units.push_if_absent(unit);
+        let mut st = self.state();
+        if st.units.iter().all(|u| u.key != unit.key) {
+            st.units.push(unit);
+        }
     }
 
     /// Number of attached prediction units.
     pub fn unit_count(&self) -> usize {
-        self.units.len()
+        self.state().units.len()
     }
 
     /// Invalidations recorded on the physical line.
     pub fn invalidations(&self) -> u64 {
-        match &self.core {
-            TrackCore::Precise(state) => state.lock().unwrap().invalidations,
-            TrackCore::Relaxed(line) => line.invalidations(),
-        }
+        self.state().invalidations
     }
 
-    /// Snapshot for analysis/reporting (clones the word counters; in relaxed
-    /// mode also drains the pending counter batch first).
+    /// Snapshot for analysis/reporting (clones the word counters).
     pub fn snapshot(&self) -> TrackSnapshot {
         let offered = self.offered.load(Ordering::Relaxed);
-        match &self.core {
-            TrackCore::Precise(state) => {
-                let st = state.lock().unwrap();
-                TrackSnapshot {
-                    line_start: self.line_start,
-                    invalidations: st.invalidations,
-                    reads: st.reads,
-                    writes: st.writes,
-                    offered,
-                    words: st.words.clone(),
-                }
-            }
-            TrackCore::Relaxed(line) => {
-                let (words, invalidations, reads, writes) = line.snapshot(self.line_start);
-                TrackSnapshot {
-                    line_start: self.line_start,
-                    invalidations,
-                    reads,
-                    writes,
-                    offered,
-                    words,
-                }
-            }
+        let st = self.state();
+        TrackSnapshot {
+            line_start: self.line_start,
+            invalidations: st.invalidations,
+            reads: st.reads,
+            writes: st.writes,
+            offered,
+            words: st.words.clone(),
         }
     }
 
@@ -347,24 +289,16 @@ impl CacheTrack {
     /// freed without false sharing (§2.3.2), so a later object recycling the
     /// address starts clean.
     pub fn reset(&self, geom: CacheGeometry) {
-        match &self.core {
-            TrackCore::Precise(state) => {
-                let mut st = state.lock().unwrap();
-                st.history = HistoryTable::new();
-                st.words = WordTracker::new(self.line_start, geom);
-                st.invalidations = 0;
-                st.reads = 0;
-                st.writes = 0;
-                st.last_words.clear();
-            }
-            TrackCore::Relaxed(line) => line.reset(),
-        }
+        let mut st = self.state();
+        let units = std::mem::take(&mut st.units);
+        *st = TrackState {
+            units,
+            ..TrackState::new(self.line_start, geom)
+        };
         self.offered.store(0, Ordering::Relaxed);
     }
 
-    /// Approximate heap footprint of this track (for Figures 8–9). Both
-    /// modes report the same formula so memory-overhead stats stay
-    /// mode-independent.
+    /// Approximate heap footprint of this track (for Figures 8–9).
     pub fn metadata_bytes(&self, geom: CacheGeometry) -> usize {
         std::mem::size_of::<Self>()
             + geom.words_per_line() * std::mem::size_of::<predator_sim::WordState>()
@@ -378,8 +312,6 @@ mod tests {
     use predator_sim::AccessKind::{Read, Write};
     use predator_sim::{Owner, VirtualGeometry, WordState};
 
-    const MODES: [TrackingMode; 2] = [TrackingMode::Precise, TrackingMode::Relaxed];
-
     fn cfg_nosample() -> DetectorConfig {
         DetectorConfig::sensitive()
     }
@@ -390,91 +322,81 @@ mod tests {
 
     #[test]
     fn records_invalidations_like_history_table() {
-        for mode in MODES {
-            let t = CacheTrack::new(0x4000_0000, geom(), mode);
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            let mut inv = 0;
-            for i in 0..10u16 {
-                let out = t.handle(
-                    ThreadId(i % 2),
-                    0x4000_0000 + (i as u64 % 2) * 8,
-                    8,
-                    Write,
-                    &cfg,
-                );
-                inv += out.invalidated as u64;
-                assert!(out.sampled);
-            }
-            assert_eq!(inv, 9, "{mode}");
-            assert_eq!(t.invalidations(), 9);
-            let snap = t.snapshot();
-            assert_eq!(snap.writes, 10);
-            assert_eq!(snap.reads, 0);
-            assert_eq!(snap.offered, 10);
-            assert_eq!(snap.words.words()[0].writes, 5);
-            assert_eq!(snap.words.words()[1].writes, 5);
+        let t = CacheTrack::new(0x4000_0000, geom());
+        let cfg = cfg_nosample();
+        let mut inv = 0;
+        for i in 0..10u16 {
+            let out = t.handle(
+                ThreadId(i % 2),
+                0x4000_0000 + (i as u64 % 2) * 8,
+                8,
+                Write,
+                &cfg,
+            );
+            inv += out.invalidated as u64;
+            assert!(out.sampled);
         }
+        assert_eq!(inv, 9);
+        assert_eq!(t.invalidations(), 9);
+        let snap = t.snapshot();
+        assert_eq!(snap.writes, 10);
+        assert_eq!(snap.reads, 0);
+        assert_eq!(snap.offered, 10);
+        assert_eq!(snap.words.words()[0].writes, 5);
+        assert_eq!(snap.words.words()[1].writes, 5);
     }
 
     #[test]
     fn sampling_skips_after_burst() {
-        for mode in MODES {
-            let mut cfg = DetectorConfig::sensitive().with_tracking_mode(mode);
-            cfg.sampling = true;
-            cfg.sample_interval = 100;
-            cfg.sample_burst = 10;
-            let t = CacheTrack::new(0, geom(), mode);
-            let mut sampled = 0;
-            for _ in 0..250 {
-                sampled += t.handle(ThreadId(0), 0, 8, Write, &cfg).sampled as u64;
-            }
-            // Bursts at offsets [0,10) and [100,110) and [200,210) → 30 samples.
-            assert_eq!(sampled, 30, "{mode}");
-            assert_eq!(t.snapshot().writes, 30);
-            assert_eq!(t.snapshot().offered, 250);
+        let mut cfg = DetectorConfig::sensitive();
+        cfg.sampling = true;
+        cfg.sample_interval = 100;
+        cfg.sample_burst = 10;
+        let t = CacheTrack::new(0, geom());
+        let mut sampled = 0;
+        for _ in 0..250 {
+            sampled += t.handle(ThreadId(0), 0, 8, Write, &cfg).sampled as u64;
         }
+        // Bursts at offsets [0,10) and [100,110) and [200,210) → 30 samples.
+        assert_eq!(sampled, 30);
+        assert_eq!(t.snapshot().writes, 30);
+        assert_eq!(t.snapshot().offered, 250);
     }
 
     #[test]
     fn analysis_due_fires_on_prediction_threshold_multiples() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode); // prediction_threshold = 16
-            let t = CacheTrack::new(0, geom(), mode);
-            let mut due_at = Vec::new();
-            for i in 1..=40u64 {
-                if t.handle(ThreadId(0), 0, 8, Write, &cfg).analysis_due {
-                    due_at.push(i);
-                }
+        let cfg = cfg_nosample(); // prediction_threshold = 16
+        let t = CacheTrack::new(0, geom());
+        let mut due_at = Vec::new();
+        for i in 1..=40u64 {
+            if t.handle(ThreadId(0), 0, 8, Write, &cfg).analysis_due {
+                due_at.push(i);
             }
-            assert_eq!(due_at, vec![16, 32], "{mode}");
         }
+        assert_eq!(due_at, vec![16, 32]);
     }
 
     #[test]
     fn analysis_not_due_when_prediction_disabled() {
-        for mode in MODES {
-            let mut cfg = cfg_nosample().with_tracking_mode(mode);
-            cfg.prediction = false;
-            let t = CacheTrack::new(0, geom(), mode);
-            for _ in 0..64 {
-                assert!(!t.handle(ThreadId(0), 0, 8, Write, &cfg).analysis_due);
-            }
+        let mut cfg = cfg_nosample();
+        cfg.prediction = false;
+        let t = CacheTrack::new(0, geom());
+        for _ in 0..64 {
+            assert!(!t.handle(ThreadId(0), 0, 8, Write, &cfg).analysis_due);
         }
     }
 
     #[test]
     fn reads_never_trigger_analysis() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            let t = CacheTrack::new(0, geom(), mode);
-            for _ in 0..64 {
-                assert!(!t.handle(ThreadId(0), 0, 8, Read, &cfg).analysis_due);
-            }
-            assert_eq!(t.snapshot().reads, 64);
+        let cfg = cfg_nosample();
+        let t = CacheTrack::new(0, geom());
+        for _ in 0..64 {
+            assert!(!t.handle(ThreadId(0), 0, 8, Read, &cfg).analysis_due);
         }
+        assert_eq!(t.snapshot().reads, 64);
     }
 
-    fn dummy_unit(range_start: u64, mode: TrackingMode) -> Arc<PredictionUnit> {
+    fn dummy_unit(range_start: u64) -> Arc<PredictionUnit> {
         let g = geom();
         let vg = VirtualGeometry::Doubled(g);
         let key = UnitKey {
@@ -500,112 +422,171 @@ mod tests {
             },
             estimate: 1,
         };
-        Arc::new(PredictionUnit::new(key, vg, pair, mode))
+        Arc::new(PredictionUnit::new(key, vg, pair))
     }
 
     #[test]
     fn attached_units_receive_in_range_accesses() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            let t = CacheTrack::new(0, geom(), mode);
-            let u = dummy_unit(0, mode); // covers [0,128)
-            t.attach_unit(u.clone());
-            assert_eq!(t.unit_count(), 1);
-            // Ping-pong inside the virtual line.
-            for i in 0..10u16 {
-                t.handle(ThreadId(i % 2), (i as u64 % 2) * 56, 8, Write, &cfg);
-            }
-            assert_eq!(u.invalidations(), 9, "{mode}");
+        let cfg = cfg_nosample();
+        let t = CacheTrack::new(0, geom());
+        let u = dummy_unit(0); // covers [0,128)
+        t.attach_unit(u.clone());
+        assert_eq!(t.unit_count(), 1);
+        // Ping-pong inside the virtual line.
+        for i in 0..10u16 {
+            t.handle(ThreadId(i % 2), (i as u64 % 2) * 56, 8, Write, &cfg);
         }
+        assert_eq!(u.invalidations(), 9);
     }
 
     #[test]
     fn attach_unit_dedups_by_key() {
-        for mode in MODES {
-            let t = CacheTrack::new(0, geom(), mode);
-            let u = dummy_unit(0, mode);
-            t.attach_unit(u.clone());
-            t.attach_unit(dummy_unit(0, mode));
-            assert_eq!(t.unit_count(), 1);
-        }
+        let t = CacheTrack::new(0, geom());
+        let u = dummy_unit(0);
+        t.attach_unit(u.clone());
+        t.attach_unit(dummy_unit(0));
+        assert_eq!(t.unit_count(), 1);
     }
 
     #[test]
     fn out_of_range_accesses_do_not_feed_unit() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            // Track for line 2 ([128,192)) with a unit covering [0,128).
-            let t = CacheTrack::new(128, geom(), mode);
-            let u = dummy_unit(0, mode);
-            t.attach_unit(u.clone());
-            for i in 0..10u16 {
-                t.handle(ThreadId(i % 2), 128 + (i as u64 % 2) * 8, 8, Write, &cfg);
-            }
-            assert_eq!(u.invalidations(), 0, "accesses outside unit range ignored");
+        let cfg = cfg_nosample();
+        // Track for line 2 ([128,192)) with a unit covering [0,128).
+        let t = CacheTrack::new(128, geom());
+        let u = dummy_unit(0);
+        t.attach_unit(u.clone());
+        for i in 0..10u16 {
+            t.handle(ThreadId(i % 2), 128 + (i as u64 % 2) * 8, 8, Write, &cfg);
         }
+        assert_eq!(u.invalidations(), 0, "accesses outside unit range ignored");
     }
 
     #[test]
     fn reset_clears_counters_but_keeps_units() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            let t = CacheTrack::new(0, geom(), mode);
-            t.attach_unit(dummy_unit(0, mode));
-            for i in 0..10u16 {
-                t.handle(ThreadId(i % 2), 0, 8, Write, &cfg);
-            }
-            assert!(t.invalidations() > 0);
-            t.reset(geom());
-            let snap = t.snapshot();
-            assert_eq!(snap.invalidations, 0);
-            assert_eq!(snap.reads + snap.writes, 0);
-            assert_eq!(snap.offered, 0);
-            assert_eq!(snap.words.total_accesses(), 0);
-            assert_eq!(t.unit_count(), 1, "units survive reset");
+        let cfg = cfg_nosample();
+        let t = CacheTrack::new(0, geom());
+        t.attach_unit(dummy_unit(0));
+        for i in 0..10u16 {
+            t.handle(ThreadId(i % 2), 0, 8, Write, &cfg);
         }
+        assert!(t.invalidations() > 0);
+        t.reset(geom());
+        let snap = t.snapshot();
+        assert_eq!(snap.invalidations, 0);
+        assert_eq!(snap.reads + snap.writes, 0);
+        assert_eq!(snap.offered, 0);
+        assert_eq!(snap.words.total_accesses(), 0);
+        assert_eq!(t.unit_count(), 1, "units survive reset");
     }
 
     #[test]
     fn straddling_access_attributed_to_both_words() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            let t = CacheTrack::new(0, geom(), mode);
-            // 8-byte write at offset 4 touches words 0 and 1.
-            t.handle(ThreadId(0), 4, 8, Write, &cfg);
-            let snap = t.snapshot();
-            assert_eq!(snap.words.words()[0].writes, 1, "{mode}");
-            assert_eq!(snap.words.words()[1].writes, 1, "{mode}");
-            assert_eq!(snap.writes, 1, "line totals count the access once");
-        }
+        let cfg = cfg_nosample();
+        let t = CacheTrack::new(0, geom());
+        // 8-byte write at offset 4 touches words 0 and 1.
+        t.handle(ThreadId(0), 4, 8, Write, &cfg);
+        let snap = t.snapshot();
+        assert_eq!(snap.words.words()[0].writes, 1);
+        assert_eq!(snap.words.words()[1].writes, 1);
+        assert_eq!(snap.writes, 1, "line totals count the access once");
     }
 
     #[test]
     fn concurrent_handling_is_consistent() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            let t = std::sync::Arc::new(CacheTrack::new(0, geom(), mode));
-            std::thread::scope(|s| {
-                for id in 0..4u16 {
-                    let t = t.clone();
-                    s.spawn(move || {
-                        for _ in 0..10_000 {
-                            t.handle(ThreadId(id), (id as u64) * 8, 8, Write, &cfg);
-                        }
-                    });
+        let cfg = cfg_nosample();
+        let t = std::sync::Arc::new(CacheTrack::new(0, geom()));
+        std::thread::scope(|s| {
+            for id in 0..4u16 {
+                let t = t.clone();
+                s.spawn(move || {
+                    for _ in 0..10_000 {
+                        t.handle(ThreadId(id), (id as u64) * 8, 8, Write, &cfg);
+                    }
+                });
+            }
+        });
+        let snap = t.snapshot();
+        assert_eq!(snap.writes, 40_000, "no update lost under contention");
+        assert_eq!(snap.offered, 40_000);
+        assert_eq!(snap.words.exclusive_threads().len(), 4);
+        // Real-thread interleaving is scheduler-dependent (threads may run
+        // their whole loop in one timeslice), so only the lower bound is
+        // deterministic: at least one invalidation per thread hand-off.
+        assert!(snap.invalidations >= 3, "got {}", snap.invalidations);
+        assert!(snap.invalidations <= 39_999);
+    }
+
+    fn unit_with(vg: VirtualGeometry, at: u64) -> Arc<PredictionUnit> {
+        let kind = match vg {
+            VirtualGeometry::Doubled(_) => UnitKind::Doubled,
+            VirtualGeometry::Scaled { factor_log2, .. } => UnitKind::Scaled { factor_log2 },
+            VirtualGeometry::Offset { delta, .. } => UnitKind::Remap { delta },
+        };
+        let key = UnitKey {
+            kind,
+            vline: vg.index(at),
+        };
+        Arc::new(PredictionUnit::new(key, vg, dummy_unit(0).origin))
+    }
+
+    #[test]
+    fn units_attached_during_contention_see_only_offered_accesses() {
+        const PER_THREAD: u64 = 10_000;
+        let cfg = cfg_nosample();
+        let g = geom();
+        let t = CacheTrack::new(0, g);
+        // Attached before any access: sees every access on the line.
+        let first = dummy_unit(0);
+        t.attach_unit(first.clone());
+        let shifted = VirtualGeometry::Offset { geom: g, delta: 16 };
+        let late = [
+            unit_with(
+                VirtualGeometry::Scaled {
+                    geom: g,
+                    factor_log2: 2,
+                },
+                0,
+            ),
+            unit_with(shifted, 16),
+            unit_with(shifted, 80),
+            unit_with(VirtualGeometry::Doubled(g), 128),
+        ];
+        // All five threads start together, so units attach mid-stream.
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|s| {
+            for id in 0..4u16 {
+                let (t, start) = (&t, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..PER_THREAD {
+                        t.handle(ThreadId(id), id as u64 * 8, 8, Write, &cfg);
+                    }
+                });
+            }
+            let (t, late, first, start) = (&t, &late, &first, &start);
+            s.spawn(move || {
+                start.wait();
+                for u in late {
+                    std::thread::yield_now();
+                    t.attach_unit(u.clone());
+                    // Re-attaching an already present key is a no-op.
+                    t.attach_unit(first.clone());
                 }
             });
-            let snap = t.snapshot();
-            assert_eq!(
-                snap.writes, 40_000,
-                "no update lost under contention ({mode})"
+        });
+        assert_eq!(t.unit_count(), 1 + late.len());
+        assert_eq!(first.snapshot().accesses, 4 * PER_THREAD);
+        for u in &late {
+            let in_range = (0..4u64).filter(|id| u.range.contains(id * 8)).count() as u64;
+            let snap = u.snapshot();
+            assert!(
+                snap.accesses <= in_range * PER_THREAD,
+                "{:?} fed {} of {} in-range accesses",
+                u.key,
+                snap.accesses,
+                in_range * PER_THREAD
             );
-            assert_eq!(snap.offered, 40_000);
-            assert_eq!(snap.words.exclusive_threads().len(), 4);
-            // Real-thread interleaving is scheduler-dependent (threads may run
-            // their whole loop in one timeslice), so only the lower bound is
-            // deterministic: at least one invalidation per thread hand-off.
-            assert!(snap.invalidations >= 3, "got {}", snap.invalidations);
-            assert!(snap.invalidations <= 39_999);
+            assert!(snap.invalidations <= snap.accesses);
         }
     }
 }

@@ -219,6 +219,26 @@ mod tests {
     }
 
     #[test]
+    fn manifest_with_a_retired_tracking_mode_key_still_loads() {
+        // Manifests written before the detector had a single tracking
+        // discipline carry `"tracking_mode"` inside `config`; the key is
+        // ignored and the thresholds still match.
+        let m = Manifest::new(DetectorConfig::sensitive());
+        let json = serde_json::to_string(&m).unwrap();
+        for mode in ["Precise", "Relaxed"] {
+            let legacy = json.replacen(
+                "\"config\":{",
+                &format!("\"config\":{{\"tracking_mode\":\"{mode}\","),
+                1,
+            );
+            assert_ne!(legacy, json, "the key was injected");
+            let back: Manifest = serde_json::from_str(&legacy).unwrap();
+            assert_eq!(back, m);
+            back.check_config(&DetectorConfig::sensitive()).unwrap();
+        }
+    }
+
+    #[test]
     fn wrong_schema_is_a_clean_error() {
         let dir =
             std::env::temp_dir().join(format!("predator-fleet-schema-{}", std::process::id()));

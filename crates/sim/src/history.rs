@@ -147,97 +147,6 @@ impl HistoryTable {
     }
 }
 
-/// Fixed-width encoding of a [`HistoryTable`] into one `u64`, so the
-/// concurrent detector can keep the whole table in a single atomic word and
-/// apply [`HistoryTable::record`] as a CAS loop.
-///
-/// Layout (low to high): two 18-bit entry slots, each
-/// `[tid:16][write:1][present:1]`; the upper 28 bits are zero. An empty
-/// table packs to `0`.
-///
-/// Everything here is pure: `transition` is *defined as*
-/// `unpack → HistoryTable::record → pack`, so the lock-free path in
-/// `predator-core` and the loom model tests share the exact transition
-/// function that the sequential detector uses — there is no second
-/// implementation of the paper's §2.3.1 rules to drift.
-pub mod packed {
-    use super::{HistoryEntry, HistoryTable};
-    use crate::access::{AccessKind, ThreadId};
-
-    /// Bits per packed entry slot.
-    const ENTRY_BITS: u32 = 18;
-    /// Present flag inside one entry slot.
-    const PRESENT: u64 = 1 << 17;
-    /// Write-kind flag inside one entry slot.
-    const WRITE: u64 = 1 << 16;
-    /// Mask of one entry slot.
-    const ENTRY_MASK: u64 = (1 << ENTRY_BITS) - 1;
-
-    /// The packed empty table.
-    pub const EMPTY: u64 = 0;
-
-    #[inline]
-    fn enc(e: Option<HistoryEntry>) -> u64 {
-        match e {
-            None => 0,
-            Some(HistoryEntry { tid, kind }) => {
-                PRESENT | ((kind.is_write() as u64) << 16) | tid.0 as u64
-            }
-        }
-    }
-
-    #[inline]
-    fn dec(bits: u64) -> Option<HistoryEntry> {
-        if bits & PRESENT == 0 {
-            return None;
-        }
-        Some(HistoryEntry {
-            tid: ThreadId((bits & 0xffff) as u16),
-            kind: if bits & WRITE != 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-        })
-    }
-
-    /// Packs a table into its fixed-width form.
-    #[inline]
-    pub fn pack(t: &HistoryTable) -> u64 {
-        enc(t.entries[0]) | (enc(t.entries[1]) << ENTRY_BITS)
-    }
-
-    /// Unpacks a fixed-width table. Ignores the (always zero) upper bits.
-    #[inline]
-    pub fn unpack(bits: u64) -> HistoryTable {
-        HistoryTable {
-            entries: [
-                dec(bits & ENTRY_MASK),
-                dec((bits >> ENTRY_BITS) & ENTRY_MASK),
-            ],
-        }
-    }
-
-    /// Applies one access to a packed table, returning the new packed table
-    /// and whether the access invalidated remote copies.
-    ///
-    /// Key property for the lock-free fast path: the transition returns the
-    /// *same* bits iff the access is redundant (same-thread repeat, or a read
-    /// against a full table), and a redundant access never invalidates — so a
-    /// caller observing `next == cur` may skip the CAS entirely.
-    #[inline]
-    pub fn transition(bits: u64, tid: ThreadId, kind: AccessKind) -> (u64, bool) {
-        let mut t = unpack(bits);
-        let invalidated = t.record(tid, kind);
-        let next = pack(&t);
-        debug_assert!(
-            !(invalidated && next == bits),
-            "invalidations always change state"
-        );
-        (next, invalidated)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,38 +301,6 @@ mod tests {
                 inv += t.record(ThreadId(*tid), kind) as u64;
             }
             prop_assert!(inv <= writes);
-        }
-
-        /// The packed transition is the sequential transition, bit for bit:
-        /// running any script through `packed::transition` tracks
-        /// `HistoryTable::record` exactly (state and invalidation verdicts).
-        #[test]
-        fn prop_packed_transition_matches_record(
-            script in proptest::collection::vec((0u16..5, prop::bool::ANY), 0..128)
-        ) {
-            let mut t = HistoryTable::new();
-            let mut bits = packed::EMPTY;
-            for (tid, w) in script {
-                let kind = if w { Write } else { Read };
-                let inv = t.record(ThreadId(tid), kind);
-                let (next, pinv) = packed::transition(bits, ThreadId(tid), kind);
-                prop_assert_eq!(inv, pinv);
-                prop_assert_eq!(packed::unpack(next), t);
-                prop_assert_eq!(packed::pack(&t), next);
-                bits = next;
-            }
-        }
-
-        /// pack/unpack round-trips on every reachable table.
-        #[test]
-        fn prop_packed_roundtrip(
-            script in proptest::collection::vec((0u16..5, prop::bool::ANY), 0..64)
-        ) {
-            let mut t = HistoryTable::new();
-            for (tid, w) in script {
-                t.record(ThreadId(tid), if w { Write } else { Read });
-                prop_assert_eq!(packed::unpack(packed::pack(&t)), t);
-            }
         }
 
         /// Recording is insensitive to reads once the table is full:

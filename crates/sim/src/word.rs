@@ -100,14 +100,6 @@ impl WordTracker {
         }
     }
 
-    /// Reassembles a tracker from raw per-word states, e.g. from the
-    /// lock-free per-word atomics in `predator-core` when a snapshot is
-    /// taken. `words.len()` must match the line geometry.
-    pub fn from_parts(base: u64, words: Vec<WordState>) -> Self {
-        debug_assert!(!words.is_empty());
-        WordTracker { base, words }
-    }
-
     /// First byte address of the covered line.
     #[inline]
     pub fn base(&self) -> u64 {

@@ -56,15 +56,6 @@ TRACE_OUT="${BENCH_TRACE_OUT:-BENCH_trace_local.json}"
 echo "==> trace pipeline bench -> $TRACE_OUT"
 target/release/bench_trace "$TRACE_OUT" --iters "${BENCH_TRACE_ITERS:-100000}"
 
-# Tracked-line hot-path scaling: precise (mutex) vs relaxed (lock-free)
-# across 1/2/4/8 threads. The ≥2x-at-8-threads gate makes bench_scaling
-# exit non-zero only on machines with >=8 cores; elsewhere it is advisory.
-# Refresh the committed artifact with
-#   BENCH_SCALING_OUT=BENCH_5.json scripts/bench.sh
-SCALING_OUT="${BENCH_SCALING_OUT:-BENCH_scaling_local.json}"
-echo "==> tracked-line scaling bench -> $SCALING_OUT"
-target/release/bench_scaling "$SCALING_OUT" --iters "${BENCH_SCALING_ITERS:-200000}"
-
 # Fleet pipeline telemetry: corpus ingest throughput, merged-report build
 # time, and trend time over a >=10M-event synthetic multi-trace corpus with
 # one deliberately corrupted member (loss accounting always exercised).
@@ -78,7 +69,7 @@ target/release/bench_fleet "$FLEET_OUT" \
 
 # Live-monitoring overhead: serve-mode passes (HTTP endpoint + scraper +
 # self-overhead watchdog + tsdb sampling + alert-rule evaluation over the
-# shipped docs/alerts.rules pack) vs a bare relaxed-tracking baseline, plus
+# shipped docs/alerts.rules pack) vs bare tracked passes, plus
 # scrape and monitor-tick latency percentiles. The <=5% overhead gate is
 # enforced on >=4 cores; advisory elsewhere. Refresh the committed artifact
 # with

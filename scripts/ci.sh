@@ -160,9 +160,6 @@ $PRED bench-diff "$SMOKE/bench_fleet.json" "$SMOKE/bench_fleet.json"
 target/release/bench_whatif "$SMOKE/bench_whatif.json" --iters 10000
 $PRED bench-diff "$SMOKE/bench_whatif.json" "$SMOKE/bench_whatif.json"
 
-echo "==> tracked-line scaling bench (2x gate enforced only on >=8 cores)"
-target/release/bench_scaling "$SMOKE/bench_scaling.json" --iters 100000 --reps 2
-
 echo "==> live monitoring smoke (serve on an ephemeral port, scrape, clean shutdown)"
 # The full endpoint matrix (including auth + SIGTERM semantics) is covered
 # by the Rust test client in crates/cli/tests/serve.rs; this exercises the
