@@ -21,8 +21,6 @@
 //! *shapes* — who is detected, who wins, where the knees are — are the
 //! reproduction targets. `EXPERIMENTS.md` records paper-vs-measured values.
 
-pub mod telemetry;
-
 use std::time::Duration;
 
 use predator_core::{DetectorConfig, Report, Session};

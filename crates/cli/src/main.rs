@@ -197,12 +197,6 @@ USAGE:
         --out <PATH>        write collapsed stacks (folded format) to PATH
         (also accepts ir's --threads/--iters/--stride/--quantum options)
 
-    predator bench-diff <old.json> <new.json> [OPTIONS]
-        Compare two BENCH_*.json telemetry files (from scripts/bench.sh);
-        exits nonzero when workload throughput or hot-path ns/access
-        regressed beyond tolerance (the nightly CI gate).
-        --tolerance <F>     allowed regression fraction   [default: 0.5]
-
     predator serve [<workload>|<trace.ptrace>] [OPTIONS]
         Live monitoring: run the source continuously and expose telemetry
         over HTTP. With a workload name (default: histogram), tracked
@@ -794,6 +788,8 @@ fn jsonl_range(args: &Args) -> Result<(u64, u64), String> {
     )
     .map_err(|e| format!("bad --base: {e}"))?;
     let size: u64 = num(args, "--size", 64 << 20)?;
+    predator_trace::format::check_space(base, size)
+        .map_err(|e| format!("bad --base/--size: {e}"))?;
     Ok((base, size))
 }
 
@@ -1657,69 +1653,6 @@ fn cmd_baseline(args: &Args) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_bench_diff(args: &Args) -> Result<ExitCode, String> {
-    use predator_bench::telemetry::{
-        diff_reports, diff_values, schema_of, BenchReport, Value, SCHEMA,
-    };
-    let read = |idx: usize, what: &str| -> Result<(String, String), String> {
-        let path = args
-            .positional
-            .get(idx)
-            .ok_or_else(|| format!("bench-diff: missing {what} telemetry path"))?;
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Ok((path.clone(), text))
-    };
-    let (old_path, old_text) = read(1, "old")?;
-    let (new_path, new_text) = read(2, "new")?;
-    let tolerance: f64 = num(args, "--tolerance", 0.5f64)?;
-    if tolerance.is_nan() || tolerance < 0.0 {
-        return Err(format!("--tolerance must be >= 0, got {tolerance}"));
-    }
-    let sniff = |path: &str, text: &str| -> Result<(Value, String), String> {
-        let v: Value =
-            serde_json::from_str(text).map_err(|e| format!("{path}: not a telemetry file: {e}"))?;
-        let schema = schema_of(&v)
-            .ok_or_else(|| format!("{path}: no `schema` tag — not a BENCH_*.json telemetry file"))?
-            .to_string();
-        Ok((v, schema))
-    };
-    let (old_value, old_schema) = sniff(&old_path, &old_text)?;
-    let (new_value, new_schema) = sniff(&new_path, &new_text)?;
-    if old_schema != new_schema {
-        return Err(format!(
-            "bench-diff: schema mismatch — cannot compare `{old_schema}` against `{new_schema}`"
-        ));
-    }
-    // The native workload/hot-path schema keeps its exact typed comparison;
-    // every other schema (fleet bench, future emitters) goes through
-    // schema-agnostic numeric key discovery.
-    let diff = if old_schema == SCHEMA {
-        let load = |path: &str, text: &str| -> Result<BenchReport, String> {
-            let report: BenchReport = serde_json::from_str(text)
-                .map_err(|e| format!("{path}: not a bench report: {e}"))?;
-            report.check_schema().map_err(|e| format!("{path}: {e}"))?;
-            Ok(report)
-        };
-        diff_reports(
-            &load(&old_path, &old_text)?,
-            &load(&new_path, &new_text)?,
-            tolerance,
-        )
-    } else {
-        diff_values(&old_value, &new_value, tolerance)
-    };
-    print!("{diff}");
-    if diff.has_regressions() {
-        eprintln!(
-            "GATE: FAIL — bench regression beyond {:.0}% tolerance",
-            tolerance * 100.0
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    println!("GATE: ok (tolerance {:.0}%)", tolerance * 100.0);
-    Ok(ExitCode::SUCCESS)
-}
-
 fn cmd_profile(args: &Args) -> Result<(), String> {
     let path = args
         .positional
@@ -2266,7 +2199,6 @@ fn main() -> ExitCode {
                 Some("explain") => cmd_explain(&args).map(|()| ExitCode::SUCCESS),
                 Some("diff") => cmd_diff(&args),
                 Some("baseline") => cmd_baseline(&args),
-                Some("bench-diff") => cmd_bench_diff(&args),
                 Some("serve") => serve::cmd_serve(&args).map(|()| ExitCode::SUCCESS),
                 Some("alerts") => cmd_alerts(&args),
                 Some("stats") => cmd_stats(&args).map(|()| ExitCode::SUCCESS),

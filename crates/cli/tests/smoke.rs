@@ -291,3 +291,72 @@ fn zero_threads_is_a_usage_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--threads"), "stderr: {stderr}");
 }
+
+#[test]
+fn hostile_trace_headers_are_typed_errors_not_panics() {
+    let dir = std::env::temp_dir().join(format!("predator-hostile-hdr-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = dir.join("good.ptrace");
+    let out = predator()
+        .args(["record", "histogram", "--iters", "200", "-o"])
+        .arg(&good)
+        .output()
+        .expect("spawn predator");
+    assert!(out.status.success());
+    let bytes = std::fs::read(&good).unwrap();
+
+    // The header payload is `base u64, size u64` at byte 12; it has no CRC.
+    let base = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+    let shapes: [(&str, u64, u64); 3] = [
+        ("misaligned", base + 1, 64 << 20),
+        ("overflow", u64::MAX - 255, 64 << 20),
+        ("oversize", base, 1 << 46),
+    ];
+    let corpus = dir.join("corpus");
+    let expect_typed_error = |what: &str, out: std::process::Output, want: &str| {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+        assert!(stderr.contains(want), "{what}: {stderr}");
+    };
+    for (shape, b, s) in shapes {
+        let mut hostile = bytes.clone();
+        hostile[12..20].copy_from_slice(&b.to_le_bytes());
+        hostile[20..28].copy_from_slice(&s.to_le_bytes());
+        let path = dir.join(format!("{shape}.ptrace"));
+        std::fs::write(&path, &hostile).unwrap();
+        let p = path.to_str().unwrap();
+        let c = corpus.to_str().unwrap();
+        let verbs: [&[&str]; 4] = [
+            &["analyze", p],
+            &["replay", p],
+            &["whatif", p],
+            &["fleet", "ingest", p, "--corpus", c],
+        ];
+        for verb in verbs {
+            let out = predator().args(verb).output().expect("spawn predator");
+            expect_typed_error(
+                &format!("{shape}: {}", verb[0]),
+                out,
+                "corrupt .ptrace header",
+            );
+        }
+    }
+    // A rejected trace never becomes a corpus member.
+    let members = std::fs::read_dir(&corpus).map_or(0, |d| d.count());
+    assert_eq!(members, 0, "fleet ingest copied a rejected trace");
+
+    let jsonl = dir.join("t.jsonl");
+    std::fs::write(
+        &jsonl,
+        "{\"tid\":1,\"addr\":1073741824,\"size\":8,\"kind\":\"Write\"}\n",
+    )
+    .unwrap();
+    let out = predator()
+        .args(["replay", jsonl.to_str().unwrap(), "--base", "40000001"])
+        .output()
+        .expect("spawn predator");
+    expect_typed_error("jsonl replay", out, "bad --base/--size");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -11,6 +11,7 @@ use std::path::Path;
 
 use predator_trace::analyze::{analyze_file, sniff_format, AnalyzeConfig, TraceFormat};
 use predator_trace::crc32::crc32;
+use predator_trace::reader::read_header;
 
 use crate::manifest::{Manifest, TraceEntry};
 
@@ -66,6 +67,9 @@ pub fn ingest_trace(
             bytes: bytes.len() as u64,
         });
     }
+
+    // A trace whose header cannot be analyzed never becomes a member.
+    read_header(&mut &bytes[..]).map_err(|e| format!("{}: {e}", path.display()))?;
 
     // Copy the raw trace in before analyzing, so the corpus member and the
     // analysis results always describe the same bytes.

@@ -17,7 +17,7 @@
 //!   write|diff`) so only *new* findings gate;
 //! * [`engine`] — the classify → suppress → baseline → gate pipeline;
 //! * [`compare`] — the shared comparison engine behind report diffs,
-//!   fleet trends, baseline diffs, and bench gates;
+//!   fleet trends and baseline diffs;
 //! * [`diff`] — report-vs-report diffing (moved here from
 //!   `predator-core`; re-exported at the same names);
 //! * [`sarif`], [`html`] — the SARIF 2.1.0 and self-contained HTML
@@ -34,10 +34,7 @@ pub mod severity;
 pub mod suppress;
 
 pub use baseline::{Baseline, BASELINE_SCHEMA};
-pub use compare::{
-    classify, compare_maps, direction_for_key, gate_metric, regression, Delta, DeltaEntry,
-    Direction,
-};
+pub use compare::{classify, compare_maps, Delta, DeltaEntry};
 pub use diff::{diff_reports, FindingId, ReportDiff, SeverityChange};
 pub use engine::{evaluate_report, evaluate_views, Evaluation, FindingDecision, PolicyConfig};
 pub use html::to_html;

@@ -121,6 +121,9 @@ impl CacheGeometry {
     /// lines through 64-byte x86 to 128/256-byte POWER and prefetch-paired
     /// server parts.
     pub const PORTFOLIO_LINE_SIZES: [u64; 4] = [32, 64, 128, 256];
+    /// The largest portfolio line size.
+    pub const MAX_PORTFOLIO_LINE: u64 =
+        Self::PORTFOLIO_LINE_SIZES[Self::PORTFOLIO_LINE_SIZES.len() - 1];
 
     /// All portfolio geometries, smallest line first.
     pub fn portfolio() -> [CacheGeometry; 4] {
@@ -133,7 +136,7 @@ impl CacheGeometry {
     /// widest geometry). Two addresses at least this far apart cannot fall
     /// inside any single aligned or shifted window of any portfolio size.
     pub fn portfolio_separation() -> u64 {
-        Self::PORTFOLIO_LINE_SIZES[Self::PORTFOLIO_LINE_SIZES.len() - 1] * 2
+        Self::MAX_PORTFOLIO_LINE * 2
     }
 }
 

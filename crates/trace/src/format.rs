@@ -40,7 +40,7 @@
 
 use predator_alloc::{Callsite, Frame, TrackedHeap};
 use predator_core::{ObjectDirectory, Predator, RecordedObject};
-use predator_sim::{Access, AccessKind, ThreadId};
+use predator_sim::{Access, AccessKind, CacheGeometry, ThreadId};
 use serde::{Deserialize, Serialize};
 
 use crate::varint;
@@ -68,6 +68,41 @@ pub const TRAILER_LEN: usize = 8 + 8 + 8;
 /// Sanity cap on a single chunk payload; larger lengths are treated as
 /// corruption during resync rather than honoured as 4 GiB allocations.
 pub const MAX_CHUNK_PAYLOAD: u32 = 16 << 20;
+
+/// Alignment a traced space's base must have: the largest portfolio line
+/// size, so a detector at every portfolio geometry can shadow the space.
+pub const SPACE_ALIGN: u64 = CacheGeometry::MAX_PORTFOLIO_LINE;
+/// Largest traced space a trace may declare. Detectors size dense shadow
+/// arrays from it (12 bytes per line), so a larger claim is treated as
+/// corruption rather than honoured as a multi-gigabyte allocation. The
+/// recorder writes 64 MiB spaces.
+pub const MAX_SPACE_SIZE: u64 = 1 << 30;
+
+/// Checks that `[base, base + size)` is a space detectors can shadow:
+/// `base` aligned to [`SPACE_ALIGN`], `size` at most [`MAX_SPACE_SIZE`],
+/// and the end, rounded up to a whole line, representable.
+pub fn check_space(base: u64, size: u64) -> Result<(), String> {
+    if !base.is_multiple_of(SPACE_ALIGN) {
+        return Err(format!(
+            "space base {base:#x} is not {SPACE_ALIGN}-byte aligned"
+        ));
+    }
+    if size > MAX_SPACE_SIZE {
+        return Err(format!(
+            "space size {size} exceeds the {MAX_SPACE_SIZE}-byte limit"
+        ));
+    }
+    if base
+        .checked_add(size)
+        .and_then(|end| end.checked_next_multiple_of(SPACE_ALIGN))
+        .is_none()
+    {
+        return Err(format!(
+            "space [{base:#x}, +{size}) overflows the address range"
+        ));
+    }
+    Ok(())
+}
 
 /// Parsed `.ptrace` header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -21,9 +21,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::crc32::crc32;
 use crate::format::{
-    decode_events, decode_index, ChunkFrame, Header, TraceMeta, CHUNK_EVENTS, CHUNK_FRAME_LEN,
-    CHUNK_INDEX, CHUNK_META, END_MAGIC, HEADER_V1_LEN, MAGIC, MAX_CHUNK_PAYLOAD, TRAILER_LEN,
-    VERSION,
+    check_space, decode_events, decode_index, ChunkFrame, Header, TraceMeta, CHUNK_EVENTS,
+    CHUNK_FRAME_LEN, CHUNK_INDEX, CHUNK_META, END_MAGIC, HEADER_V1_LEN, MAGIC, MAX_CHUNK_PAYLOAD,
+    TRAILER_LEN, VERSION,
 };
 
 /// Why a trace could not be opened (distinct from recoverable mid-stream
@@ -109,10 +109,13 @@ pub fn read_header<R: Read>(r: &mut R) -> Result<Header, TraceError> {
     let mut payload = vec![0u8; hlen];
     r.read_exact(&mut payload)
         .map_err(|_| TraceError::Corrupt("header truncated".into()))?;
+    let base = u64::from_le_bytes(payload[0..8].try_into().unwrap());
+    let size = u64::from_le_bytes(payload[8..16].try_into().unwrap());
+    check_space(base, size).map_err(TraceError::Corrupt)?;
     Ok(Header {
         version,
-        base: u64::from_le_bytes(payload[0..8].try_into().unwrap()),
-        size: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
+        base,
+        size,
     })
 }
 
@@ -610,6 +613,7 @@ fn read_info_indexed(path: &Path) -> Result<Option<TraceInfo>, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{MAX_SPACE_SIZE, SPACE_ALIGN};
     use crate::writer::TraceWriter;
     use predator_sim::ThreadId;
 
@@ -788,6 +792,42 @@ mod tests {
         assert!(!info.via_index, "the hostile index must be rejected");
         assert_eq!(info.events, events.len() as u64);
         assert_eq!(info.meta.map(|m| m.app_live_bytes), Some(42));
+    }
+
+    #[test]
+    fn hostile_header_space_is_a_typed_error() {
+        // The header carries no CRC, so a patched `base`/`size` reaches the
+        // reader intact. Every shape a detector cannot shadow must be
+        // rejected at open, before anything sizes an allocation from it.
+        let (bytes, _) = sample_trace(1, 10);
+        let patch = |base: u64, size: u64| {
+            let mut b = bytes.clone();
+            b[12..20].copy_from_slice(&base.to_le_bytes());
+            b[20..28].copy_from_slice(&size.to_le_bytes());
+            b
+        };
+        let aligned_top = u64::MAX - (SPACE_ALIGN - 1);
+        let cases: &[(&str, u64, u64, &str)] = &[
+            ("misaligned base", 0x1001, 1 << 20, "aligned"),
+            ("overflowing range", aligned_top, 1 << 20, "overflows"),
+            (
+                "end rounds past u64",
+                aligned_top,
+                SPACE_ALIGN - 1,
+                "overflows",
+            ),
+            ("oversize size", 0x1000, 1 << 46, "limit"),
+        ];
+        for &(shape, base, size, want) in cases {
+            match TraceReader::new(&patch(base, size)[..]) {
+                Err(TraceError::Corrupt(m)) => assert!(m.contains(want), "{shape}: {m}"),
+                Err(e) => panic!("{shape}: wrong error {e}"),
+                Ok(_) => panic!("{shape}: header accepted"),
+            }
+        }
+        // The limits themselves are accepted.
+        assert!(TraceReader::new(&patch(0x1000, MAX_SPACE_SIZE)[..]).is_ok());
+        assert!(TraceReader::new(&patch(aligned_top, 0)[..]).is_ok());
     }
 
     /// Byte offset of the n-th (0-based) chunk frame.

@@ -163,8 +163,7 @@ pub fn verify_fixes(
 /// The largest portfolio line. Clusters, replay-set closure and shadow
 /// margins are all measured in it, so they hold at every portfolio
 /// geometry at once.
-const MAX_LINE: u64 =
-    CacheGeometry::PORTFOLIO_LINE_SIZES[CacheGeometry::PORTFOLIO_LINE_SIZES.len() - 1];
+const MAX_LINE: u64 = CacheGeometry::MAX_PORTFOLIO_LINE;
 
 /// One past the last byte an access touches (a zero-size access touches
 /// one byte, as in [`CacheGeometry::lines_touched`]).

@@ -138,7 +138,7 @@ $PRED fleet compact --corpus "$SMOKE/current" --keep 1
 $PRED fleet report --corpus "$SMOKE/current" > "$SMOKE/fleet-compacted.txt"
 grep -q "3 run(s)" "$SMOKE/fleet-compacted.txt"
 
-echo "==> timeline/profile/bench-diff smoke"
+echo "==> timeline/profile smoke"
 $PRED ir examples/programs/false_sharing.pir --threads 2 --iters 2000 \
   --trace-timeline "$SMOKE/trace.json" > /dev/null
 grep -q '"traceEvents"' "$SMOKE/trace.json"
@@ -150,15 +150,6 @@ if ! $PRED profile examples/programs/false_sharing.pir --threads 2 --iters 2000 
     exit 1
   }
 fi
-cargo build --release -q -p predator-bench
-target/release/bench_telemetry measure "$SMOKE/bench.json" --iters 100 --hot-iters 50000
-$PRED bench-diff "$SMOKE/bench.json" "$SMOKE/bench.json"
-# bench-diff's schema-agnostic path: fleet telemetry gates against itself.
-target/release/bench_fleet "$SMOKE/bench_fleet.json" --traces 2 --events-per-trace 100000
-$PRED bench-diff "$SMOKE/bench_fleet.json" "$SMOKE/bench_fleet.json"
-# What-if replay telemetry (asserts the >=90% delta bar internally).
-target/release/bench_whatif "$SMOKE/bench_whatif.json" --iters 10000
-$PRED bench-diff "$SMOKE/bench_whatif.json" "$SMOKE/bench_whatif.json"
 
 echo "==> live monitoring smoke (serve on an ephemeral port, scrape, clean shutdown)"
 # The full endpoint matrix (including auth + SIGTERM semantics) is covered
